@@ -1,5 +1,6 @@
 //! Weighted all-pairs shortest paths in BCONGEST — the substitute for the
-//! Bernstein–Nanongkai black box of Theorem 1.1 (see DESIGN.md §2).
+//! Bernstein–Nanongkai black box of Theorem 1.1 (see the README's *Deviations from
+//! the paper*).
 //!
 //! The algorithm runs `n` *weight-delayed Dijkstra* explorations simultaneously: for
 //! source `s`, a node that learns distance `d` schedules its one broadcast of `(s, d)`
@@ -95,8 +96,9 @@ pub struct WApspOutput {
 /// Per-node state.
 #[derive(Clone, Debug)]
 pub struct WApspState {
-    /// Incident weights, keyed by neighbor (each node knows its incident edges).
-    weight_to: BTreeMap<NodeId, u64>,
+    /// Incident `(neighbor, weight)` pairs sorted by neighbor, looked up by
+    /// binary search (each node knows its incident edges).
+    weight_to: Vec<(NodeId, u64)>,
     dist: Vec<Option<u64>>,
     parent: Vec<Option<NodeId>>,
     sent_dist: Vec<Option<u64>>,
@@ -118,8 +120,10 @@ impl BcongestAlgorithm for WeightedApsp {
 
     fn init(&self, view: &LocalView<'_>) -> WApspState {
         let n = view.n();
+        let mut weight_to: Vec<(NodeId, u64)> = view.incident().map(|(_, u, w)| (u, w)).collect();
+        weight_to.sort_unstable_by_key(|&(u, _)| u);
         let mut s = WApspState {
-            weight_to: view.incident().map(|(_, u, w)| (u, w)).collect(),
+            weight_to,
             dist: vec![None; n],
             parent: vec![None; n],
             sent_dist: vec![None; n],
@@ -152,10 +156,11 @@ impl BcongestAlgorithm for WeightedApsp {
         let mut sorted: Vec<&(NodeId, WApspMsg)> = msgs.iter().collect();
         sorted.sort_unstable_by_key(|(from, m)| (m.source, m.dist, *from));
         for &&(from, m) in &sorted {
-            let w = *s
+            let k = s
                 .weight_to
-                .get(&from)
+                .binary_search_by_key(&from, |&(u, _)| u)
                 .expect("messages arrive only from neighbors");
+            let w = s.weight_to[k].1;
             let cand = m.dist + w;
             let j = m.source as usize;
             let better = s.dist[j].is_none_or(|d| cand < d);
@@ -216,7 +221,7 @@ impl AggregationAlgorithm for WeightedApsp {
         // *candidate distance*; aggregation here is only used when the receiver-side
         // weights are equal (unit-weight runs) or as a lossy heuristic. The exact
         // weighted algorithm is exercised through Theorem 2.1 (which needs no
-        // aggregation); see DESIGN.md.
+        // aggregation); see the README's "Deviations from the paper".
         let mut best: BTreeMap<u32, (u64, NodeId)> = BTreeMap::new();
         for (from, m) in msgs {
             let e = best.entry(m.source).or_insert((m.dist, from));

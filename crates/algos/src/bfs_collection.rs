@@ -15,7 +15,6 @@ use congest_engine::{
     AggregationAlgorithm, BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode,
 };
 use congest_graph::{rng, NodeId};
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// One BFS exploration message: which BFS, and the sender's distance in it.
@@ -283,20 +282,14 @@ impl AggregationAlgorithm for BfsCollection {
         &self,
         _receiver: NodeId,
         _round: usize,
-        msgs: Vec<(NodeId, BfsMsg)>,
+        mut msgs: Vec<(NodeId, BfsMsg)>,
     ) -> Vec<(NodeId, BfsMsg)> {
         // Per BFS instance, only the minimum distance matters; ties broken by sender ID
-        // so that simulated and direct runs pick identical parents.
-        let mut best: BTreeMap<u32, (u32, NodeId)> = BTreeMap::new();
-        for (from, m) in msgs {
-            let entry = best.entry(m.bfs).or_insert((m.dist, from));
-            if (m.dist, from) < *entry {
-                *entry = (m.dist, from);
-            }
-        }
-        best.into_iter()
-            .map(|(bfs, (dist, from))| (from, BfsMsg { bfs, dist }))
-            .collect()
+        // so that simulated and direct runs pick identical parents. Sorting by
+        // (bfs, dist, sender) puts each instance's winner first; dedup keeps it.
+        msgs.sort_unstable_by_key(|&(from, m)| (m.bfs, m.dist, from));
+        msgs.dedup_by_key(|(_, m)| m.bfs);
+        msgs
     }
 
     fn aggregate_budget(&self, n: usize) -> usize {

@@ -7,7 +7,8 @@
 //! (convergecast) and broadcasting `n`, with realized metrics.
 //!
 //! The paper cites Kutten et al. \[25\] for an `O(m log n)`-message election; flooding
-//! with re-broadcast-only-on-improvement is our accounted substitute (see DESIGN.md §2).
+//! with re-broadcast-only-on-improvement is our accounted substitute (see the README's
+//! *Deviations from the paper*).
 
 use congest_engine::{
     run_bcongest, BcongestAlgorithm, EngineError, Forest, LocalView, Metrics, RunOptions, Wire,

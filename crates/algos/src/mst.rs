@@ -227,7 +227,7 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
             .iter()
             .map(|&(_, e)| EdgeId::new(e as usize))
             .collect();
-        let dc = treeops::downcast_with(g, &forest, decisions, &cfg.exec)?;
+        let dc = treeops::downcast(g, &forest, decisions)?;
         metrics.merge_sequential(&dc.metrics);
         treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
 

@@ -1,4 +1,4 @@
-//! Experiment harness: regenerates every table in EXPERIMENTS.md, and hosts the
+//! Experiment harness: prints every experiment table to stdout, and hosts the
 //! engine-scaling smoke behind `BENCH_engine.json`.
 //!
 //! Usage:

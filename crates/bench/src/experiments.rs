@@ -1,5 +1,6 @@
-//! The experiment suite: one function per paper claim (see DESIGN.md §4). Each
-//! returns a [`Table`] for EXPERIMENTS.md; the criterion benches reuse the same
+//! The experiment suite: one `e_*` function per paper claim, each labelled
+//! with its claim ID (E-T1.1 … E-ABL2) in its docs. Each returns a [`Table`]
+//! that the `experiments` binary prints; the criterion benches reuse the same
 //! functions at fixed sizes.
 
 use crate::table::{f2, fit_exponent, Table};

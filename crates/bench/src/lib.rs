@@ -1,11 +1,11 @@
 //! # congest-bench
 //!
-//! The experiment suite reproducing every quantitative claim of the paper (see
-//! DESIGN.md §4 for the index): [`experiments`] holds one function per claim,
+//! The experiment suite reproducing every quantitative claim of the paper:
+//! [`experiments`] holds one function per claim, labelled with its claim ID,
 //! [`table`] the rendering/fitting helpers. The `experiments` binary prints the
-//! tables recorded in EXPERIMENTS.md; the criterion benches reuse the same
-//! functions at fixed sizes. [`engine_bench`] is the engine-scaling smoke
-//! behind `BENCH_engine.json` (sequential vs parallel round execution), shared
+//! tables to stdout (docs/BENCHMARKING.md, "The experiments binary"); the
+//! criterion benches reuse the same functions at fixed sizes. [`engine_bench`]
+//! is the engine-scaling smoke behind `BENCH_engine.json` (sequential vs parallel round execution), shared
 //! by the binary's `--bench-engine` mode and the `engine` criterion bench.
 //! [`mst_bench`] is the "Beyond APSP" counterpart behind `BENCH_mst.json`
 //! (oracle-checked, budget-enforced MST + trade-off sweep), shared by `--bench-mst`

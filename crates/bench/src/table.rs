@@ -1,4 +1,4 @@
-//! Plain-text experiment tables (rendered into EXPERIMENTS.md) and log–log fitting.
+//! Plain-text experiment tables (printed by the `experiments` binary) and log–log fitting.
 
 use std::fmt::Write as _;
 

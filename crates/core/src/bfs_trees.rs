@@ -137,7 +137,7 @@ pub fn all_bfs_batched(
     }
 
     // The batches run together under Theorem 1.3: congestion+dilation accounting
-    // over the measured executions (see DESIGN.md §2).
+    // over the measured executions (see the README's "Deviations from the paper").
     let composed = compose_measured(g, &batch_metrics);
     metrics.merge_sequential(&composed.metrics);
 

@@ -151,7 +151,7 @@ fn central_finish(
         }
         items.extend(best.into_values().map(|c| (v, c)));
     }
-    let up = treeops::upcast_with(g, &setup.tree, items, exec)?;
+    let up = treeops::upcast(g, &setup.tree, items)?;
     metrics.merge_sequential(&up.metrics);
 
     // Kruskal on the contracted fragment graph, over all collected candidates (the
@@ -180,7 +180,7 @@ fn central_finish(
         .iter()
         .map(|&e| (g.endpoints(e).0, e.index() as u64))
         .collect();
-    let down = treeops::downcast_with(g, &setup.tree, notify, exec)?;
+    let down = treeops::downcast(g, &setup.tree, notify)?;
     metrics.merge_sequential(&down.metrics);
     let mut connect = Metrics::new(g.m());
     if !chosen.is_empty() {

@@ -20,12 +20,12 @@
 //! one seed the simulated outputs equal a direct run's (Lemma 3.14; asserted by the
 //! integration tests).
 
-use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{
+    charge_round, dedupe_msgs, input_words, AggPhase, NeighborMarks, Pad, SimulationRun, Stepper,
+};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::{Hierarchy, Level};
-use congest_engine::{
-    downcast_with, upcast_with, AggregationAlgorithm, EngineError, Forest, Metrics, Wire,
-};
+use congest_engine::{downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Wire};
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
 /// Options for the Theorem 3.9 / 3.10 simulations.
@@ -141,8 +141,7 @@ where
             .map(|v| (v, Pad(g.degree(v) + 1)))
             .collect();
         if !items.is_empty() {
-            let up = upcast_with(g, forest, items, &opts.exec)?;
-            metrics.merge_sequential(&up.metrics);
+            metrics.merge_sequential(&upcast(g, forest, items)?.metrics);
         }
     }
     let preprocessing = metrics.clone();
@@ -152,8 +151,8 @@ where
         .max_phases
         .unwrap_or_else(|| 4 * algo.round_bound(n, g.m()) + 64);
 
+    let mut marks = NeighborMarks::new(n);
     let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
     loop {
         if phase > limit {
             return Err(EngineError::RoundLimitExceeded {
@@ -163,8 +162,8 @@ where
         }
         let broadcasters = stepper.collect_broadcasts(phase);
         let mut phase_cost = Metrics::new(g.m());
-        let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut receive_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
+        // Every packet a node receives this phase, in arrival order.
+        let mut packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
 
         if !broadcasters.is_empty() {
             let mut bp: Vec<Option<A::Msg>> = vec![None; n];
@@ -172,19 +171,23 @@ where
                 bp[v.index()] = Some(m.clone());
             }
 
+            let ph = AggPhase {
+                algo,
+                g,
+                phase,
+                bp: &bp,
+            };
+
             // ---- Indirect send over F* edges ----
             let mut indirect_at: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-            {
-                let mut step = Metrics::new(g.m());
-                step.rounds = 1;
-                for (v, m) in &broadcasters {
-                    for &(edge, other, _, _) in &rt.f_of[v.index()] {
-                        step.add_messages(edge, 1);
-                        indirect_at[other.index()].push((*v, m.clone()));
-                    }
+            let mut sends = Vec::new();
+            for (v, m) in &broadcasters {
+                for &(edge, other, _, _) in &rt.f_of[v.index()] {
+                    sends.push((edge, 1));
+                    indirect_at[other.index()].push((*v, m.clone()));
                 }
-                phase_cost.merge_sequential(&step);
             }
+            charge_round(&mut phase_cost, sends);
 
             // ---- Direct (aggregate) send ----
             // (a) broadcasters upcast their message in every containing cluster tree.
@@ -196,8 +199,7 @@ where
                     .collect();
                 if !items.is_empty() {
                     let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast_with(g, forest, items, &opts.exec)?;
-                    phase_cost.merge_sequential(&up.metrics);
+                    phase_cost.merge_sequential(&upcast(g, forest, items)?.metrics);
                 }
             }
             // (b) per level, centers aggregate for R(C) and route packets.
@@ -206,13 +208,17 @@ where
                     break;
                 }
                 let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                let mut forwards: Vec<(EdgeId, usize)> = Vec::new();
-                for (ci, ins) in rt.r_in[lj].iter().enumerate() {
-                    if ins.is_empty() {
-                        continue;
-                    }
-                    let cid = ClusterId::new(ci);
-                    for ie in ins {
+                let mut forwards: Vec<(EdgeId, u64)> = Vec::new();
+                // Only clusters with a broadcasting member have anything to
+                // aggregate; visit them in ascending cluster order.
+                let mut live: Vec<ClusterId> = broadcasters
+                    .iter()
+                    .filter_map(|(v, _)| lvl.cluster_of[v.index()])
+                    .collect();
+                live.sort_unstable();
+                live.dedup();
+                for cid in live {
+                    for ie in &rt.r_in[lj][cid.index()] {
                         let msgs: Vec<(NodeId, A::Msg)> = g
                             .neighbors(ie.owner)
                             .iter()
@@ -234,110 +240,41 @@ where
                         if lj >= 1 {
                             down_items.push((ie.endpoint, Pad(words)));
                         }
-                        forwards.push((ie.edge, words));
-                        direct_packets[ie.owner.index()].extend(agg);
+                        forwards.push((ie.edge, words as u64));
+                        packets[ie.owner.index()].extend(agg);
                     }
                 }
                 if !down_items.is_empty() {
                     let forest = rt.forests[lj].as_ref().expect("level forest");
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
-                    phase_cost.merge_sequential(&down.metrics);
+                    phase_cost.merge_sequential(&downcast(g, forest, down_items)?.metrics);
                 }
                 if !forwards.is_empty() {
-                    let mut step = Metrics::new(g.m());
-                    step.rounds = 1;
-                    for (e, w) in forwards {
-                        step.add_messages(e, w as u64);
-                    }
-                    phase_cost.merge_sequential(&step);
+                    charge_round(&mut phase_cost, forwards);
                 }
             }
 
             // ---- Receive step ----
-            // Members upcast indirect arrivals and their own broadcasts; centers
-            // downcast one aggregate per member. Level 0 degenerates to local work.
+            // Level 0's singleton clusters degenerate to local work.
             for (li, lvl) in h.levels.iter().enumerate() {
                 if li == h.levels.len() - 1 && lvl.clusters.is_empty() {
                     break;
                 }
-                // Cluster-local available messages.
-                let mut avail: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); lvl.clusters.len()];
-                let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
-                for v in g.nodes() {
-                    let Some(c) = lvl.cluster_of[v.index()] else {
-                        continue;
-                    };
-                    let mut words = 0usize;
-                    if let Some(m) = &bp[v.index()] {
-                        avail[c.index()].push((v, m.clone()));
-                        words += 1;
-                    }
-                    if !indirect_at[v.index()].is_empty() {
-                        avail[c.index()].extend(indirect_at[v.index()].iter().cloned());
-                        words += indirect_at[v.index()].len();
-                    }
-                    if words > 0 && li >= 1 {
-                        up_items.push((v, Pad(words)));
-                    }
-                }
-                if li >= 1 && !up_items.is_empty() {
-                    let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast_with(g, forest, up_items, &opts.exec)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-                let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                for (ci, msgs) in avail.iter().enumerate() {
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    let cid = ClusterId::new(ci);
-                    for &u in &lvl.clusters[ci].1 {
-                        let relevant: Vec<(NodeId, A::Msg)> = msgs
-                            .iter()
-                            .filter(|(v, _)| *v != u && g.has_edge(*v, u))
-                            .cloned()
-                            .collect();
-                        if relevant.is_empty() {
-                            continue;
-                        }
-                        let agg = algo.aggregate(u, phase, relevant);
-                        if agg.is_empty() {
-                            continue;
-                        }
-                        let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
-                        if li >= 1 {
-                            down_items.push((u, Pad(words)));
-                        }
-                        receive_packets[u.index()].extend(agg);
-                        let _ = cid;
-                    }
-                }
-                if li >= 1 && !down_items.is_empty() {
-                    let forest = rt.forests[li].as_ref().expect("level forest");
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
-                    phase_cost.merge_sequential(&down.metrics);
-                }
+                let forest = rt.forests[li].as_ref();
+                ph.receive_step(
+                    lvl,
+                    forest,
+                    &indirect_at,
+                    &mut marks,
+                    &mut packets,
+                    &mut phase_cost,
+                )?;
             }
         }
         metrics.merge_sequential(&phase_cost);
 
-        // ---- Compute ----
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        for u in 0..n {
-            let mut all = std::mem::take(&mut direct_packets[u]);
-            all.extend(std::mem::take(&mut receive_packets[u]));
-            if all.is_empty() {
-                continue;
-            }
-            inboxes[u] = dedupe_msgs(all);
-        }
-        let any = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
+        // ---- Compute: the union of each node's packets (Definition 3.1) ----
+        let inboxes = packets.into_iter().map(dedupe_msgs).collect();
+        match stepper.advance(phase, !broadcasters.is_empty(), inboxes)? {
             Some(next) => phase = next,
             None => break,
         }
@@ -348,7 +285,7 @@ where
         outputs,
         metrics,
         preprocessing,
-        simulated_rounds,
+        simulated_rounds: stepper.simulated_rounds,
         simulated_broadcasts: stepper.broadcasts,
         input_words: input_words(g),
         output_words,

@@ -10,20 +10,21 @@
 //!   matching** `M(C, C′)` towards every neighboring star cluster and, per matched
 //!   edge, routes an identity packet `m₁ = (w, m_w)` plus an aggregate packet
 //!   `m₂ = agg(B_p(u) ∩ C)` through the matched edge;
-//! * (deviation documented in DESIGN.md §2) singleton `F₁`-edges owned by `L₁` nodes
-//!   receive the broadcast of their star endpoint directly — the level-0 duty of the
-//!   general simulation — closing the star→`L₁` gap the paper's prose leaves open.
+//! * (deviation listed in the README's *Deviations from the paper*) singleton
+//!   `F₁`-edges owned by `L₁` nodes receive the broadcast of their star endpoint
+//!   directly — the level-0 duty of the general simulation — closing the
+//!   star→`L₁` gap the paper's prose leaves open.
 //!
 //! The receive and compute steps match the general simulation. Congestion over star
 //! edges per phase is `Õ(n^{1-ε})` (Lemma 3.18), which is what buys the faster
 //! phases and, through Lemma 3.22, the round-optimal end of the trade-off.
 
-use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{
+    charge_round, dedupe_msgs, input_words, AggPhase, NeighborMarks, Pad, SimulationRun, Stepper,
+};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::Hierarchy;
-use congest_engine::{
-    downcast_with, upcast_with, AggregationAlgorithm, EngineError, Forest, Metrics, Wire,
-};
+use congest_engine::{downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Wire};
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
 pub use super::agg_general::AggSimOptions;
@@ -74,8 +75,7 @@ where
             .map(|v| (v, Pad(g.degree(v) + 1)))
             .collect();
         if !items.is_empty() {
-            let up = upcast_with(g, forest, items, &opts.exec)?;
-            metrics.merge_sequential(&up.metrics);
+            metrics.merge_sequential(&upcast(g, forest, items)?.metrics);
         }
     }
     // Level-0 duty edges: F₁ edges grouped by their star-side endpoint.
@@ -93,8 +93,8 @@ where
         .max_phases
         .unwrap_or_else(|| 4 * algo.round_bound(n, g.m()) + 64);
 
+    let mut marks = NeighborMarks::new(n);
     let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
     loop {
         if phase > limit {
             return Err(EngineError::RoundLimitExceeded {
@@ -104,9 +104,8 @@ where
         }
         let broadcasters = stepper.collect_broadcasts(phase);
         let mut phase_cost = Metrics::new(g.m());
-        let mut raw_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut receive_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
+        // Every packet a node receives this phase, in arrival order.
+        let mut packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
         let mut star_arrivals: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
 
         if !broadcasters.is_empty() {
@@ -117,30 +116,27 @@ where
 
             // ---- Send: L₁ broadcasters use all incident edges; star-endpoint
             //      duty edges deliver their endpoint's broadcast. One round. ----
-            {
-                let mut step = Metrics::new(g.m());
-                step.rounds = 1;
-                for (v, m) in &broadcasters {
-                    if in_l1[v.index()] {
-                        for (e, u) in g.incident(*v) {
-                            step.add_messages(e, 1);
-                            raw_packets[u.index()].push((*v, m.clone()));
-                        }
+            let mut sends = Vec::new();
+            for (v, m) in &broadcasters {
+                if in_l1[v.index()] {
+                    for (e, u) in g.incident(*v) {
+                        sends.push((e, 1));
+                        packets[u.index()].push((*v, m.clone()));
                     }
                 }
-                for (w, duties) in duty_of.iter().enumerate() {
-                    if in_l1[w] {
-                        continue; // L₁ endpoints already broadcast everywhere
-                    }
-                    if let Some(m) = &bp[w] {
-                        for &(owner, e) in duties {
-                            step.add_messages(e, 1);
-                            raw_packets[owner.index()].push((NodeId::new(w), m.clone()));
-                        }
-                    }
-                }
-                phase_cost.merge_sequential(&step);
             }
+            for (w, duties) in duty_of.iter().enumerate() {
+                if in_l1[w] {
+                    continue; // L₁ endpoints already broadcast everywhere
+                }
+                if let Some(m) = &bp[w] {
+                    for &(owner, e) in duties {
+                        sends.push((e, 1));
+                        packets[owner.index()].push((NodeId::new(w), m.clone()));
+                    }
+                }
+            }
+            charge_round(&mut phase_cost, sends);
 
             // ---- Star-cluster machinery ----
             if let (Some(lvl), Some(forest)) = (star_level, star_forest.as_ref()) {
@@ -151,13 +147,12 @@ where
                     .map(|(v, _)| (*v, Pad(1)))
                     .collect();
                 if !to_center.is_empty() {
-                    let up = upcast_with(g, forest, to_center, &opts.exec)?;
-                    phase_cost.merge_sequential(&up.metrics);
+                    phase_cost.merge_sequential(&upcast(g, forest, to_center)?.metrics);
                 }
 
                 // Per cluster: matchings to every neighboring star cluster.
                 let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                let mut forwards: Vec<(EdgeId, usize)> = Vec::new();
+                let mut forwards: Vec<(EdgeId, u64)> = Vec::new();
                 for (ci, (_center, members)) in lvl.clusters.iter().enumerate() {
                     let cid = ClusterId::new(ci);
                     let senders: Vec<NodeId> = members
@@ -207,99 +202,42 @@ where
                                 1 + agg.iter().map(|(_, m)| m.words().max(1)).sum::<usize>();
                             down_items.push((w, Pad(words)));
                             let e = g.edge_between(w, u).expect("matched pairs are edges");
-                            forwards.push((e, words));
+                            forwards.push((e, words as u64));
                             star_arrivals[u.index()].push((w, m1));
-                            direct_packets[u.index()].extend(agg);
+                            packets[u.index()].extend(agg);
                         }
                     }
                 }
                 if !down_items.is_empty() {
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
-                    phase_cost.merge_sequential(&down.metrics);
+                    phase_cost.merge_sequential(&downcast(g, forest, down_items)?.metrics);
                 }
                 if !forwards.is_empty() {
-                    let mut step = Metrics::new(g.m());
-                    step.rounds = 1;
-                    for (e, w) in forwards {
-                        step.add_messages(e, w as u64);
-                    }
-                    phase_cost.merge_sequential(&step);
+                    charge_round(&mut phase_cost, forwards);
                 }
 
                 // ---- Receive step: members upcast m₁ arrivals + own broadcasts;
                 //      centers downcast per-member aggregates. ----
-                let mut avail: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); lvl.clusters.len()];
-                let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
-                for v in g.nodes() {
-                    let Some(c) = lvl.cluster_of[v.index()] else {
-                        continue;
-                    };
-                    let mut words = 0usize;
-                    if let Some(m) = &bp[v.index()] {
-                        avail[c.index()].push((v, m.clone()));
-                        words += 1;
-                    }
-                    if !star_arrivals[v.index()].is_empty() {
-                        avail[c.index()].extend(star_arrivals[v.index()].iter().cloned());
-                        words += star_arrivals[v.index()].len();
-                    }
-                    if words > 0 {
-                        up_items.push((v, Pad(words)));
-                    }
-                }
-                if !up_items.is_empty() {
-                    let up = upcast_with(g, forest, up_items, &opts.exec)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-                let mut down2: Vec<(NodeId, Pad)> = Vec::new();
-                for (ci, msgs) in avail.iter().enumerate() {
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    for &u in &lvl.clusters[ci].1 {
-                        let relevant: Vec<(NodeId, A::Msg)> = msgs
-                            .iter()
-                            .filter(|(v, _)| *v != u && g.has_edge(*v, u))
-                            .cloned()
-                            .collect();
-                        if relevant.is_empty() {
-                            continue;
-                        }
-                        let agg = algo.aggregate(u, phase, relevant);
-                        if agg.is_empty() {
-                            continue;
-                        }
-                        let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
-                        down2.push((u, Pad(words)));
-                        receive_packets[u.index()].extend(agg);
-                    }
-                }
-                if !down2.is_empty() {
-                    let down = downcast_with(g, forest, down2, &opts.exec)?;
-                    phase_cost.merge_sequential(&down.metrics);
-                }
+                let ph = AggPhase {
+                    algo,
+                    g,
+                    phase,
+                    bp: &bp,
+                };
+                ph.receive_step(
+                    lvl,
+                    Some(forest),
+                    &star_arrivals,
+                    &mut marks,
+                    &mut packets,
+                    &mut phase_cost,
+                )?;
             }
         }
         metrics.merge_sequential(&phase_cost);
 
-        // ---- Compute ----
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        for u in 0..n {
-            let mut all = std::mem::take(&mut raw_packets[u]);
-            all.extend(std::mem::take(&mut direct_packets[u]));
-            all.extend(std::mem::take(&mut receive_packets[u]));
-            if all.is_empty() {
-                continue;
-            }
-            inboxes[u] = dedupe_msgs(all);
-        }
-        let any = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
+        // ---- Compute: the union of each node's packets (Definition 3.1) ----
+        let inboxes = packets.into_iter().map(dedupe_msgs).collect();
+        match stepper.advance(phase, !broadcasters.is_empty(), inboxes)? {
             Some(next) => phase = next,
             None => break,
         }
@@ -310,7 +248,7 @@ where
         outputs,
         metrics,
         preprocessing,
-        simulated_rounds,
+        simulated_rounds: stepper.simulated_rounds,
         simulated_broadcasts: stepper.broadcasts,
         input_words: input_words(g),
         output_words,

@@ -3,8 +3,12 @@
 //! direct runner's semantics exactly) and the padding payload used to account
 //! multi-word transfers.
 
-use congest_engine::{exec, BcongestAlgorithm, ExecutorConfig, LocalView, Metrics, Wire};
-use congest_graph::{rng, Graph, NodeId};
+use congest_decomp::Level;
+use congest_engine::{
+    downcast, exec, upcast, AggregationAlgorithm, BcongestAlgorithm, EngineError, ExecutorConfig,
+    Forest, LocalView, Metrics, Wire,
+};
+use congest_graph::{rng, EdgeId, Graph, NodeId};
 
 /// An opaque payload of a known size in words — used when the *content* of a
 /// transfer is tracked separately (e.g. cluster centers already hold the data) but
@@ -50,6 +54,8 @@ pub struct Stepper<'a, A: BcongestAlgorithm> {
     pub states: Vec<A::State>,
     /// Broadcast count so far.
     pub broadcasts: u64,
+    /// Phases through the last active one (see [`Stepper::advance`]).
+    pub simulated_rounds: usize,
     /// How the per-node phases execute (sequential by default).
     exec: ExecutorConfig,
 }
@@ -72,6 +78,7 @@ where
             algo,
             states,
             broadcasts: 0,
+            simulated_rounds: 0,
             exec: ExecutorConfig::sequential(),
         }
     }
@@ -108,31 +115,46 @@ where
         out
     }
 
-    /// Delivers per-node inboxes (only non-empty ones, like the direct runner).
-    /// Returns whether anything was delivered.
-    pub fn deliver(&mut self, round: usize, mut inboxes: Vec<Vec<(NodeId, A::Msg)>>) -> bool {
+    /// Ends `phase`: delivers the non-empty `inboxes` (like the direct runner)
+    /// and returns the next phase — `phase + 1` after any broadcast or
+    /// delivery, else the payload's next activity, `None` once quiescent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::StalledActivity`] if the payload names a phase
+    /// that is not after the idle `phase`.
+    pub fn advance(
+        &mut self,
+        phase: usize,
+        broadcast: bool,
+        mut inboxes: Vec<Vec<(NodeId, A::Msg)>>,
+    ) -> Result<Option<usize>, EngineError> {
         assert_eq!(inboxes.len(), self.states.len(), "one inbox per node");
         let algo = self.algo;
-        exec::map_chunks_mut2(&self.exec, &mut self.states, &mut inboxes, {
+        let mut received = false;
+        for any in exec::map_chunks_mut2(&self.exec, &mut self.states, &mut inboxes, {
             |_start, sts, inbs| {
                 let mut any = false;
                 for (st, inbox) in sts.iter_mut().zip(inbs.iter_mut()) {
                     if !inbox.is_empty() {
                         any = true;
-                        algo.receive(st, round, inbox);
+                        algo.receive(st, phase, inbox);
                     }
                 }
                 any
             }
+        }) {
+            received |= any;
+        }
+        if received || broadcast {
+            self.simulated_rounds = phase + 1;
+            return Ok(Some(phase + 1));
+        }
+        exec::min_chunks(&self.exec, &self.states, |st| {
+            algo.next_activity(st, phase + 1)
         })
-        .into_iter()
-        .any(|b| b)
-    }
-
-    /// The next simulated round at which anything can happen, absent further input.
-    pub fn next_activity(&self, after: usize) -> Option<usize> {
-        let algo = self.algo;
-        exec::min_chunks(&self.exec, &self.states, |st| algo.next_activity(st, after))
+        .map(|r| EngineError::check_progress(algo.name(), phase, r))
+        .transpose()
     }
 
     /// Finalizes outputs and the `Out` word count.
@@ -153,6 +175,112 @@ pub fn dedupe_msgs<M: Wire>(mut msgs: Vec<(NodeId, M)>) -> Vec<(NodeId, M)> {
         }
     }
     out
+}
+
+/// Charges one synchronous round of `(edge, words)` transfers to `cost`.
+pub(crate) fn charge_round(cost: &mut Metrics, transfers: impl IntoIterator<Item = (EdgeId, u64)>) {
+    cost.rounds += 1;
+    cost.add_messages_batch(transfers);
+}
+
+/// Marks one node's neighbours at a time in `O(deg)`, reusing its stamps.
+pub(crate) struct NeighborMarks {
+    stamp: Vec<u64>,
+    tick: u64,
+}
+
+impl NeighborMarks {
+    pub fn new(n: usize) -> Self {
+        Self {
+            stamp: vec![0; n],
+            tick: 0,
+        }
+    }
+
+    /// Marks exactly the neighbours of `u` (never `u`: graphs are loop-free).
+    pub fn mark(&mut self, g: &Graph, u: NodeId) {
+        self.tick += 1;
+        for x in g.neighbors(u) {
+            self.stamp[x.index()] = self.tick;
+        }
+    }
+
+    pub fn is_marked(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.tick
+    }
+}
+
+/// One phase of an aggregation simulation (Theorems 3.9/3.10): the payload,
+/// the graph, and each node's broadcast this phase.
+pub(crate) struct AggPhase<'a, A: AggregationAlgorithm> {
+    pub algo: &'a A,
+    pub g: &'a Graph,
+    pub phase: usize,
+    pub bp: &'a [Option<A::Msg>],
+}
+
+impl<A: AggregationAlgorithm> AggPhase<'_, A> {
+    /// The receive step on the clusters of `lvl` (§3.2.1): each member upcasts
+    /// its own broadcast plus the messages that `arrived` at it; the center
+    /// then downcasts to each member `u` the aggregate of the available
+    /// messages from `u`'s neighbours, which lands in `packets[u]`. With
+    /// `forest = None` (level 0's singleton clusters) both transfers are local
+    /// and free.
+    pub fn receive_step(
+        &self,
+        lvl: &Level,
+        forest: Option<&Forest>,
+        arrived: &[Vec<(NodeId, A::Msg)>],
+        marks: &mut NeighborMarks,
+        packets: &mut [Vec<(NodeId, A::Msg)>],
+        cost: &mut Metrics,
+    ) -> Result<(), EngineError> {
+        let g = self.g;
+        let mut avail: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); lvl.clusters.len()];
+        let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
+        for v in g.nodes() {
+            let Some(c) = lvl.cluster_of[v.index()] else {
+                continue;
+            };
+            let own = self.bp[v.index()].iter().map(|m| (v, m.clone()));
+            avail[c.index()].extend(own.chain(arrived[v.index()].iter().cloned()));
+            let words = usize::from(self.bp[v.index()].is_some()) + arrived[v.index()].len();
+            if words > 0 {
+                up_items.push((v, Pad(words)));
+            }
+        }
+        if let Some(forest) = forest.filter(|_| !up_items.is_empty()) {
+            cost.merge_sequential(&upcast(g, forest, up_items)?.metrics);
+        }
+        let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
+        for (ci, msgs) in avail.iter().enumerate() {
+            if msgs.is_empty() {
+                continue;
+            }
+            for &u in &lvl.clusters[ci].1 {
+                marks.mark(g, u);
+                let relevant: Vec<(NodeId, A::Msg)> = msgs
+                    .iter()
+                    .filter(|(v, _)| marks.is_marked(*v))
+                    .cloned()
+                    .collect();
+                if relevant.is_empty() {
+                    continue;
+                }
+                let agg = self.algo.aggregate(u, self.phase, relevant);
+                if agg.is_empty() {
+                    continue;
+                }
+                let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
+                down_items.push((u, Pad(words)));
+                packets[u.index()].extend(agg);
+            }
+        }
+        if let Some(forest) = forest.filter(|_| !down_items.is_empty()) {
+            cost.merge_sequential(&downcast(g, forest, down_items)?.metrics);
+        }
+        Ok(())
+    }
 }
 
 /// Total input words over all nodes (the paper's `In`, in words).

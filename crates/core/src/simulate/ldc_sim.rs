@@ -17,10 +17,10 @@
 //! Correctness (Lemma 2.5) is checked in the strongest possible way: with the same
 //! seed, outputs are asserted equal to a direct run's (see the integration tests).
 
-use crate::simulate::common::{input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{charge_round, input_words, Pad, SimulationRun, Stepper};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, LdcDecomposition};
-use congest_engine::{downcast_with, upcast_with, BcongestAlgorithm, EngineError, Forest, Metrics};
+use congest_engine::{downcast, upcast, BcongestAlgorithm, EngineError, Forest, Metrics};
 use congest_graph::{Graph, NodeId};
 
 /// Options for the Theorem 2.1 simulation.
@@ -68,13 +68,8 @@ where
     let forest: Forest = ldc.clustering.forest(g)?;
 
     // Step 3: upcast every node's input (its incident edge list) to its center.
-    let up = upcast_with(
-        g,
-        &forest,
-        g.nodes().map(|v| (v, Pad(g.degree(v) + 1))).collect(),
-        &opts.exec,
-    )?;
-    metrics.merge_sequential(&up.metrics);
+    let inputs = g.nodes().map(|v| (v, Pad(g.degree(v) + 1))).collect();
+    metrics.merge_sequential(&upcast(g, &forest, inputs)?.metrics);
     let preprocessing = metrics.clone();
 
     // Centers now (conceptually) hold all member inputs; replicate member states.
@@ -86,7 +81,6 @@ where
     let phase_budget = phase_budget_rounds(n);
 
     let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
     loop {
         if phase > limit {
             return Err(EngineError::RoundLimitExceeded {
@@ -119,31 +113,19 @@ where
                     up_items.push((f.other, Pad(1)));
                 }
             }
-            let down = downcast_with(g, &forest, down_items, &opts.exec)?;
-            phase_cost.merge_sequential(&down.metrics);
-            let mut exchange = Metrics::new(g.m());
-            exchange.rounds = 1;
-            for (v, _) in &broadcasters {
-                for f in &ldc.f_edges[v.index()] {
-                    exchange.add_messages(f.edge, 1);
-                }
-            }
-            phase_cost.merge_sequential(&exchange);
-            let upc = upcast_with(g, &forest, up_items, &opts.exec)?;
-            phase_cost.merge_sequential(&upc.metrics);
+            phase_cost.merge_sequential(&downcast(g, &forest, down_items)?.metrics);
+            let exchange = broadcasters
+                .iter()
+                .flat_map(|(v, _)| ldc.f_edges[v.index()].iter().map(|f| (f.edge, 1)));
+            charge_round(&mut phase_cost, exchange);
+            phase_cost.merge_sequential(&upcast(g, &forest, up_items)?.metrics);
         }
         if opts.strict_phase_budget {
             phase_cost.pad_rounds(phase_budget.saturating_sub(phase_cost.rounds));
         }
         metrics.merge_sequential(&phase_cost);
 
-        let any_received = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any_received {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
+        match stepper.advance(phase, !broadcasters.is_empty(), inboxes)? {
             Some(next) => phase = next,
             None => break,
         }
@@ -156,14 +138,13 @@ where
         .zip(outputs.iter())
         .map(|(v, o)| (v, Pad(algo.output_words(o))))
         .collect();
-    let down = downcast_with(g, &forest, out_items, &opts.exec)?;
-    metrics.merge_sequential(&down.metrics);
+    metrics.merge_sequential(&downcast(g, &forest, out_items)?.metrics);
 
     Ok(SimulationRun {
         outputs,
         metrics,
         preprocessing,
-        simulated_rounds,
+        simulated_rounds: stepper.simulated_rounds,
         simulated_broadcasts: stepper.broadcasts,
         input_words: input_words(g),
         output_words,
@@ -321,5 +302,49 @@ mod tests {
         let err =
             simulate_bcongest_via_ldc(&Chatter, &g, None, &LdcSimOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::RoundLimitExceeded { .. }));
+    }
+
+    #[test]
+    fn backward_next_activity_is_refused_like_the_direct_runner() {
+        // Never broadcasts, yet claims activity at the round that just went
+        // idle: without the forward-progress check both loops would spin.
+        struct Stuck;
+        impl BcongestAlgorithm for Stuck {
+            type State = ();
+            type Msg = u32;
+            type Output = ();
+            fn name(&self) -> &'static str {
+                "stuck"
+            }
+            fn init(&self, _: &congest_engine::LocalView<'_>) {}
+            fn broadcast(&self, _: &(), _: usize) -> Option<u32> {
+                None
+            }
+            fn on_broadcast_sent(&self, _: &mut (), _: usize) {}
+            fn receive(&self, _: &mut (), _: usize, _: &[(NodeId, u32)]) {}
+            fn is_done(&self, _: &()) -> bool {
+                false
+            }
+            fn output(&self, _: &()) {}
+            fn next_activity(&self, _: &(), after: usize) -> Option<usize> {
+                Some(after - 1)
+            }
+            fn round_bound(&self, _: usize, _: usize) -> usize {
+                1 << 20
+            }
+            fn output_words(&self, _: &()) -> usize {
+                0
+            }
+        }
+        let g = generators::path(4);
+        let want = EngineError::StalledActivity {
+            algorithm: "stuck",
+            round: 0,
+            next: 0,
+        };
+        let sim = simulate_bcongest_via_ldc(&Stuck, &g, None, &LdcSimOptions::default());
+        assert_eq!(sim.unwrap_err(), want);
+        let direct = congest_engine::run_bcongest(&Stuck, &g, None, &Default::default());
+        assert_eq!(direct.unwrap_err(), want);
     }
 }

@@ -1,5 +1,5 @@
 //! **Theorem 1.1** — message-optimal weighted APSP: the weight-delayed Dijkstra
-//! payload (DESIGN.md §2's Bernstein–Nanongkai substitute) pushed through the
+//! payload (the README's Bernstein–Nanongkai substitute) pushed through the
 //! Theorem 2.1 simulation, for `Õ(n²)` messages and `Õ(n²)` rounds.
 //!
 //! [`weighted_apsp_direct`] runs the same payload directly in BCONGEST — the

@@ -12,7 +12,7 @@
 //! The builder is sequential with *accounted* distributed cost (Theorem 3.4:
 //! `O(κ)`-ish rounds, `O(κ·m)` messages) — the hierarchy is an **input** to the
 //! simulations of §3.2, exactly as in the paper, so what matters is that its
-//! construction cost is charged; see DESIGN.md §2.
+//! construction cost is charged; see the README's *Deviations from the paper*.
 
 use crate::ldc::FEdge;
 use congest_engine::Metrics;

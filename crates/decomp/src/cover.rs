@@ -6,7 +6,8 @@
 //! `t` repetitions every node's `W`-ball is fully inside some cluster w.h.p.; tree
 //! depth is `O(kW log n)` and each node belongs to exactly `t = Õ(n^{1/k})` trees —
 //! the three properties of a `(k, W)`-sparse cover, up to the polylog factors the
-//! paper's `Õ` hides (this substitutes Elkin's construction \[13\]; see DESIGN.md §2).
+//! paper's `Õ` hides (this substitutes Elkin's construction \[13\]; see the README's
+//! *Deviations from the paper*).
 
 use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
 use congest_graph::{reference, rng, Graph, NodeId};

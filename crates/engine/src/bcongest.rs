@@ -16,7 +16,7 @@
 
 use crate::error::EngineError;
 use crate::exec::{self, ExecutorConfig};
-use crate::faults::{FaultEvent, FaultPlan, FaultResponse, FaultState};
+use crate::faults::{self, FaultPlan, FaultState};
 use crate::metrics::Metrics;
 use crate::plane::RoundPlane;
 use crate::shard;
@@ -91,7 +91,7 @@ pub trait BcongestAlgorithm {
     /// Size of one node's output in words (`Out = Σ_v output_words`).
     fn output_words(&self, out: &Self::Output) -> usize;
 
-    /// Fault-response hook for [`FaultResponse::SelfHeal`] plans: called on
+    /// Fault-response hook for [`crate::FaultResponse::SelfHeal`] plans: called on
     /// every live node at the start of a fault round, right after the round's
     /// events applied (freshly recovered nodes are re-initialized instead).
     /// Default: no-op — only algorithms that actually self-stabilize (e.g.
@@ -222,23 +222,7 @@ where
             .flatten()
             .collect();
 
-    if let Some(plan) = &opts.faults {
-        if let Err(e) = plan.validate(g) {
-            panic!("invalid FaultPlan: {e}");
-        }
-    }
-    let mut fault_rt: Option<FaultState<'_>> =
-        opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
-
-    let base_limit = 4 * algo.round_bound(n, g.m()) + 64;
-    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
-        // Every fault round can restart the algorithm from scratch, so the
-        // guard scales with the number of fault rounds.
-        Some(plan) => {
-            (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
-        }
-        None => base_limit,
-    });
+    let (mut fault_rt, limit) = FaultState::for_run(opts, g, algo.round_bound(n, g.m()));
 
     let mut plane: RoundPlane<A::Msg> = RoundPlane::new(cfg, n);
     // One chooser per Auto run: resolves the delivery backend per round from
@@ -257,34 +241,9 @@ where
             });
         }
 
-        // 0. Apply fault events due this round, then the response policy.
-        //    This runs sequentially before any phase fans out, so faulty runs
-        //    stay byte-identical across the whole backend × plane matrix.
+        // 0. Fault events due this round, then the response policy.
         if let Some(fs) = fault_rt.as_mut() {
-            let fired = fs.apply_due(round);
-            if !fired.is_empty() {
-                match fs.response() {
-                    FaultResponse::Restart => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                *st = init_node(i);
-                            }
-                        }
-                    }
-                    FaultResponse::SelfHeal => {
-                        for ev in &fired {
-                            if let FaultEvent::Recover(v) = ev {
-                                states[v.index()] = init_node(v.index());
-                            }
-                        }
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                algo.on_fault(st, round);
-                            }
-                        }
-                    }
-                }
-            }
+            fs.respond(round, &mut states, init_node, |st| algo.on_fault(st, round));
         }
 
         // 1. Collect broadcasts (pure reads, chunked over nodes; concatenating
@@ -372,34 +331,16 @@ where
             round += 1;
             continue;
         }
-        // Crashed nodes claim no activity (their frozen state may still be
-        // "dirty"), so with faults active the min runs sequentially with node
-        // indices — a pure min, identical at every thread count. The idle
-        // skip also never jumps past a scheduled fault round.
-        let next_alg = if let Some(fs) = &fault_rt {
-            states
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| fs.mask.node_up[i])
-                .filter_map(|(_, st)| algo.next_activity(st, round + 1))
-                .min()
-        } else {
-            exec::min_chunks(cfg, &states, |st| algo.next_activity(st, round + 1))
-        };
-        let next_fault = fault_rt
-            .as_ref()
-            .and_then(|fs| fs.next_fault_round())
-            .map(|r| r.max(round + 1));
-        let next = match (next_alg, next_fault) {
-            (Some(a), Some(f)) => Some(a.min(f)),
-            (a, None) => a,
-            (None, f) => f,
-        };
+        let next = faults::next_round(
+            cfg,
+            &states,
+            fault_rt.as_ref(),
+            round,
+            algo.name(),
+            |st, after| algo.next_activity(st, after),
+        )?;
         match next {
-            Some(r) => {
-                debug_assert!(r > round, "next_activity must move forward");
-                round = r;
-            }
+            Some(r) => round = r,
             None => break,
         }
     }
@@ -532,6 +473,53 @@ mod tests {
         let g = generators::path(3);
         let err = run_bcongest(&Chatter, &g, None, &RunOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::RoundLimitExceeded { .. }));
+    }
+
+    #[test]
+    fn backward_next_activity_is_a_typed_error() {
+        // Floods once, then claims activity at the round that just went idle.
+        struct Stuck;
+        impl BcongestAlgorithm for Stuck {
+            type State = bool;
+            type Msg = u32;
+            type Output = ();
+            fn name(&self) -> &'static str {
+                "stuck"
+            }
+            fn init(&self, _: &LocalView<'_>) -> bool {
+                false
+            }
+            fn broadcast(&self, sent: &bool, _: usize) -> Option<u32> {
+                (!sent).then_some(1)
+            }
+            fn on_broadcast_sent(&self, sent: &mut bool, _: usize) {
+                *sent = true;
+            }
+            fn receive(&self, _: &mut bool, _: usize, _: &[(NodeId, u32)]) {}
+            fn is_done(&self, _: &bool) -> bool {
+                false
+            }
+            fn output(&self, _: &bool) {}
+            fn next_activity(&self, _: &bool, after: usize) -> Option<usize> {
+                Some(after - 1)
+            }
+            fn round_bound(&self, _: usize, _: usize) -> usize {
+                1 << 20
+            }
+            fn output_words(&self, _: &()) -> usize {
+                0
+            }
+        }
+        let g = generators::path(3);
+        let err = run_bcongest(&Stuck, &g, None, &RunOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::StalledActivity {
+                algorithm: "stuck",
+                round: 1,
+                next: 1
+            }
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::EngineError;
 use crate::exec;
-use crate::faults::{FaultEvent, FaultResponse, FaultState};
+use crate::faults::{self, FaultState};
 use crate::metrics::Metrics;
 use crate::plane::RoundPlane;
 use crate::shard;
@@ -144,21 +144,7 @@ where
             .flatten()
             .collect();
 
-    if let Some(plan) = &opts.faults {
-        if let Err(e) = plan.validate(g) {
-            panic!("invalid FaultPlan: {e}");
-        }
-    }
-    let mut fault_rt: Option<FaultState<'_>> =
-        opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
-
-    let base_limit = 4 * algo.round_bound(n, g.m()) + 64;
-    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
-        Some(plan) => {
-            (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
-        }
-        None => base_limit,
-    });
+    let (mut fault_rt, limit) = FaultState::for_run(opts, g, algo.round_bound(n, g.m()));
 
     let mut plane: RoundPlane<A::Msg> = RoundPlane::new(cfg, n);
     // One chooser per Auto run (mirrors the BCONGEST runner): per-round
@@ -174,33 +160,9 @@ where
                 limit,
             });
         }
-        // 0. Fault events due this round, then the response policy (mirrors
-        //    the BCONGEST runner exactly).
+        // 0. Fault events due this round, then the response policy.
         if let Some(fs) = fault_rt.as_mut() {
-            let fired = fs.apply_due(round);
-            if !fired.is_empty() {
-                match fs.response() {
-                    FaultResponse::Restart => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                *st = init_node(i);
-                            }
-                        }
-                    }
-                    FaultResponse::SelfHeal => {
-                        for ev in &fired {
-                            if let FaultEvent::Recover(v) = ev {
-                                states[v.index()] = init_node(v.index());
-                            }
-                        }
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                algo.on_fault(st, round);
-                            }
-                        }
-                    }
-                }
-            }
+            fs.respond(round, &mut states, init_node, |st| algo.on_fault(st, round));
         }
         type SendBatch<M> = Vec<(NodeId, M)>;
         // Pure per-node send scans, chunked over nodes; concatenating the
@@ -281,25 +243,14 @@ where
             round += 1;
             continue;
         }
-        let next_alg = if let Some(fs) = &fault_rt {
-            states
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| fs.mask.node_up[i])
-                .filter_map(|(_, st)| algo.next_activity(st, round + 1))
-                .min()
-        } else {
-            exec::min_chunks(cfg, &states, |st| algo.next_activity(st, round + 1))
-        };
-        let next_fault = fault_rt
-            .as_ref()
-            .and_then(|fs| fs.next_fault_round())
-            .map(|r| r.max(round + 1));
-        let next = match (next_alg, next_fault) {
-            (Some(a), Some(f)) => Some(a.min(f)),
-            (a, None) => a,
-            (None, f) => f,
-        };
+        let next = faults::next_round(
+            cfg,
+            &states,
+            fault_rt.as_ref(),
+            round,
+            algo.name(),
+            |st, after| algo.next_activity(st, after),
+        )?;
         match next {
             Some(r) => round = r,
             None => break,
@@ -480,5 +431,45 @@ mod tests {
         let g = generators::path(3);
         let err = run_congest(&Spinner, &g, None, &crate::RunOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::RoundLimitExceeded { .. }));
+    }
+
+    #[test]
+    fn backward_next_activity_is_a_typed_error() {
+        // Claims activity at the round that just went idle, forever.
+        struct Stuck;
+        impl CongestAlgorithm for Stuck {
+            type State = ();
+            type Msg = u32;
+            type Output = ();
+            fn name(&self) -> &'static str {
+                "stuck"
+            }
+            fn init(&self, _: &LocalView<'_>) {}
+            fn sends(&self, _: &(), _: usize) -> Vec<(NodeId, u32)> {
+                Vec::new()
+            }
+            fn on_sent(&self, _: &mut (), _: usize) {}
+            fn receive(&self, _: &mut (), _: usize, _: &[(NodeId, u32)]) {}
+            fn is_done(&self, _: &()) -> bool {
+                false
+            }
+            fn output(&self, _: &()) {}
+            fn next_activity(&self, _: &(), after: usize) -> Option<usize> {
+                Some(after - 1)
+            }
+            fn round_bound(&self, _: usize, _: usize) -> usize {
+                1 << 20
+            }
+        }
+        let g = generators::path(3);
+        let err = run_congest(&Stuck, &g, None, &crate::RunOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::StalledActivity {
+                algorithm: "stuck",
+                round: 0,
+                next: 0
+            }
+        );
     }
 }

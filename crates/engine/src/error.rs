@@ -13,6 +13,16 @@ pub enum EngineError {
         /// The limit that was hit.
         limit: usize,
     },
+    /// An algorithm's `next_activity` named a round that is not after the
+    /// current one: the idle skip would never advance, so the run is refused.
+    StalledActivity {
+        /// Name of the offending algorithm.
+        algorithm: &'static str,
+        /// The round (or simulated phase) that had just gone idle.
+        round: usize,
+        /// The round `next_activity` returned.
+        next: usize,
+    },
     /// A routing task referenced a path that is not a walk in the graph.
     InvalidPath {
         /// Index of the offending task.
@@ -43,6 +53,14 @@ impl fmt::Display for EngineError {
                     "algorithm '{algorithm}' exceeded the round limit of {limit}"
                 )
             }
+            EngineError::StalledActivity {
+                algorithm,
+                round,
+                next,
+            } => write!(
+                f,
+                "algorithm '{algorithm}' reported next activity at round {next}, not after round {round}"
+            ),
             EngineError::InvalidPath { task } => {
                 write!(
                     f,
@@ -59,6 +77,24 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+impl EngineError {
+    /// The forward-progress rule of idle-round skipping: the `next` activity an
+    /// algorithm reports must come after the idle `round`. Returns `next`, or
+    /// [`EngineError::StalledActivity`] instead of letting the runner spin.
+    pub fn check_progress(
+        algorithm: &'static str,
+        round: usize,
+        next: usize,
+    ) -> Result<usize, EngineError> {
+        let stalled = EngineError::StalledActivity {
+            algorithm,
+            round,
+            next,
+        };
+        (next > round).then_some(next).ok_or(stalled)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,6 +106,11 @@ mod tests {
             limit: 5,
         };
         assert!(e.to_string().contains("round limit"));
+        assert!(EngineError::check_progress("x", 4, 4)
+            .unwrap_err()
+            .to_string()
+            .contains("not after round 4"));
+        assert_eq!(EngineError::check_progress("x", 4, 5), Ok(5));
         assert!(EngineError::InvalidPath { task: 3 }
             .to_string()
             .contains("task 3"));

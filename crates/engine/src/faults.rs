@@ -21,6 +21,9 @@
 //! [`crate::MessagePlane`], so faulty runs stay byte-identical across the
 //! whole executor matrix — `tests/fault_conformance.rs` pins this.
 
+use crate::error::EngineError;
+use crate::exec::{self, ExecutorConfig};
+use crate::RunOptions;
 use congest_graph::{rng, EdgeId, Graph, NodeId};
 use rand::seq::SliceRandom;
 use std::fmt;
@@ -367,6 +370,88 @@ impl<'p> FaultState<'p> {
     pub fn next_fault_round(&self) -> Option<usize> {
         self.plan.schedule.get(self.next).map(|&(r, _)| r)
     }
+
+    /// Both runners' fault runtime (`None` when fault-free) and round guard:
+    /// `opts.max_rounds`, else `4 × round_bound + 64` scaled by the fault
+    /// rounds, since each can restart the run. Panics on an invalid plan.
+    pub(crate) fn for_run(
+        opts: &'p RunOptions,
+        g: &Graph,
+        round_bound: usize,
+    ) -> (Option<Self>, usize) {
+        let base = 4 * round_bound + 64;
+        let Some(plan) = &opts.faults else {
+            return (None, opts.max_rounds.unwrap_or(base));
+        };
+        if let Err(e) = plan.validate(g) {
+            panic!("invalid FaultPlan: {e}");
+        }
+        let limit = opts.max_rounds.unwrap_or(
+            (plan.fault_rounds().len() + 1) * base + plan.last_fault_round().unwrap_or(0),
+        );
+        (Some(Self::new(plan, g)), limit)
+    }
+
+    /// Step 0 of every runner round: the events due at `round`, then the
+    /// response policy (see the module docs). Sequential, before any phase
+    /// fans out, so faulty runs stay identical across backends and planes.
+    pub(crate) fn respond<S>(
+        &mut self,
+        round: usize,
+        states: &mut [S],
+        init: impl Fn(usize) -> S,
+        mut on_fault: impl FnMut(&mut S),
+    ) {
+        let fired = self.apply_due(round);
+        if fired.is_empty() {
+            return;
+        }
+        if self.response() == FaultResponse::SelfHeal {
+            for ev in &fired {
+                if let FaultEvent::Recover(v) = ev {
+                    states[v.index()] = init(v.index());
+                }
+            }
+        }
+        for (i, st) in states.iter_mut().enumerate() {
+            if self.mask.node_up[i] {
+                match self.response() {
+                    FaultResponse::Restart => *st = init(i),
+                    FaultResponse::SelfHeal => on_fault(st),
+                }
+            }
+        }
+    }
+}
+
+/// Both runners' idle skip after a silent `round`: the earliest activity a
+/// live node reports, never past the next fault round. Crashed nodes claim
+/// none (their frozen state may be "dirty"), so with faults the min runs
+/// sequentially — a pure min, identical at every thread count. Fails with
+/// [`EngineError::StalledActivity`] on a round not after `round`.
+pub(crate) fn next_round<S: Sync>(
+    cfg: &ExecutorConfig,
+    states: &[S],
+    faults: Option<&FaultState<'_>>,
+    round: usize,
+    algorithm: &'static str,
+    next_activity: impl Fn(&S, usize) -> Option<usize> + Sync,
+) -> Result<Option<usize>, EngineError> {
+    let next = match faults {
+        None => exec::min_chunks(cfg, states, |st| next_activity(st, round + 1)),
+        Some(fs) => {
+            let alg = states
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| fs.mask.node_up[i])
+                .filter_map(|(_, st)| next_activity(st, round + 1))
+                .min();
+            let fault = fs.next_fault_round().map(|r| r.max(round + 1));
+            alg.into_iter().chain(fault).min()
+        }
+    };
+    next.map(|r| EngineError::check_progress(algorithm, round, r))
+        .transpose()
 }
 
 #[cfg(test)]

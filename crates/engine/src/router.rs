@@ -4,11 +4,17 @@
 //! the execution substrate behind the Leighton–Maggs–Rao-style accounting the paper
 //! leans on (Theorem 1.3): a real schedule is produced and measured, so routed rounds
 //! reflect `O(congestion + dilation)` behaviour rather than assuming it.
+//!
+//! The scheduler's state is indexed by the directed edges a batch touches,
+//! not by all `2m`, so a routed batch costs in proportion to its hops and
+//! rounds; only the returned per-edge congestion vector is `m`-sized. The
+//! tree primitives ([`crate::treeops`]) feed it hop sequences built from
+//! forest parent edges.
 
 use crate::error::EngineError;
 use crate::exec::{self, ExecutorConfig};
 use crate::metrics::Metrics;
-use congest_graph::{Graph, NodeId};
+use congest_graph::{EdgeId, Graph, NodeId};
 use std::collections::VecDeque;
 
 /// One routing task: deliver a payload of `words` words along `path` (a walk whose
@@ -53,6 +59,10 @@ pub fn route(g: &Graph, tasks: &[RouteTask]) -> Result<RouteReport, EngineError>
 /// global queue order *is* the synchronous-round semantics being measured.
 /// Reports are identical at every thread count.
 ///
+/// A call costs `O(H log H + rounds)` time and `O(H + words)` memory for `H`
+/// total hops, plus the `m`-entry congestion vector of the returned
+/// [`Metrics`]: the scheduler indexes only the directed edges the batch uses.
+///
 /// # Errors
 ///
 /// Returns [`EngineError::InvalidPath`] (lowest failing task index, like the
@@ -62,120 +72,132 @@ pub fn route_with(
     tasks: &[RouteTask],
     cfg: &ExecutorConfig,
 ) -> Result<RouteReport, EngineError> {
-    // Directed edge index: 2*e for canonical u->v, 2*e+1 for v->u.
-    let dir_edge = |from: NodeId, to: NodeId, task: usize| -> Result<usize, EngineError> {
-        let e = g
-            .edge_between(from, to)
-            .ok_or(EngineError::InvalidPath { task })?;
-        let (u, _) = g.endpoints(e);
-        Ok(if u == from {
-            2 * e.index()
-        } else {
-            2 * e.index() + 1
-        })
-    };
-
-    // Precompute each task's directed edge sequence, task chunks in parallel.
+    // Resolve each task's directed-edge sequence, task chunks in parallel.
     // Chunk results merge in task order, so the first error reported is the
     // lowest failing task index — exactly the sequential behaviour.
-    let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
+    let (mut hops, mut ends) = (Vec::new(), Vec::with_capacity(tasks.len()));
     for chunk in exec::map_chunks(cfg, tasks, |start, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .map(|(off, t)| {
-                let mut seq = Vec::with_capacity(t.path.len().saturating_sub(1));
-                for w in t.path.windows(2) {
-                    seq.push(dir_edge(w[0], w[1], start + off)?);
-                }
-                Ok(seq)
-            })
-            .collect::<Result<Vec<_>, EngineError>>()
+        let resolve = |task: usize, w: &[NodeId]| {
+            let e = g.edge_between(w[0], w[1]);
+            e.map(|e| directed(g, e, w[0]))
+                .ok_or(EngineError::InvalidPath { task })
+        };
+        (start..)
+            .zip(chunk)
+            .map(|(i, t)| t.path.windows(2).map(|w| resolve(i, w)).collect())
+            .collect::<Result<Vec<Vec<usize>>, EngineError>>()
     }) {
-        seqs.extend(chunk?);
-    }
-
-    let mut metrics = Metrics::new(g.m());
-    let mut completion = vec![0u64; tasks.len()];
-    let dilation = seqs.iter().map(Vec::len).max().unwrap_or(0);
-
-    // Static congestion (for reporting): words per directed edge.
-    let mut planned = vec![0u64; 2 * g.m()];
-    for (t, seq) in tasks.iter().zip(&seqs) {
-        for &d in seq {
-            planned[d] += t.words as u64;
+        for seq in chunk? {
+            hops.extend(seq);
+            ends.push((hops.len(), tasks[ends.len()].words));
         }
     }
+    Ok(schedule(g.m(), &hops, &ends))
+}
+
+/// Directed edge index of `e` traversed from `from`: `2e` for the canonical
+/// `u → v` direction, `2e + 1` for `v → u`.
+#[inline]
+pub(crate) fn directed(g: &Graph, e: EdgeId, from: NodeId) -> usize {
+    2 * e.index() + usize::from(g.endpoints(e).0 != from)
+}
+
+/// The FIFO store-and-forward scheduler on a graph with `m` edges. Task `i`
+/// carries `ends[i].1` words over the directed edges (indices as in
+/// [`directed`]) `hops[ends[i - 1].0..ends[i].0]`. Queues, planned loads
+/// and active flags are indexed by local slot — the rank of a directed edge
+/// among the distinct ones the batch uses — so nothing but the returned
+/// congestion vector scales with `m`.
+pub(crate) fn schedule(m: usize, hops: &[usize], ends: &[(usize, usize)]) -> RouteReport {
+    let mut slots = hops.to_vec();
+    slots.sort_unstable();
+    slots.dedup();
+    let hop_slot: Vec<usize> = hops
+        .iter()
+        .map(|d| slots.binary_search(d).expect("every hop has a slot"))
+        .collect();
+    let seq = |t: usize| &hop_slot[t.checked_sub(1).map_or(0, |p| ends[p].0)..ends[t].0];
+    let tasks = ends.len();
+
+    // Static congestion: words per directed edge. Every word crosses every hop
+    // of its task exactly once, so this is also the realized message charge.
+    let mut planned = vec![0u64; slots.len()];
+    for (t, &(_, w)) in ends.iter().enumerate() {
+        for &s in seq(t) {
+            planned[s] += w as u64;
+        }
+    }
+    let mut metrics = Metrics::new(m);
+    for (&d, &w) in slots.iter().zip(&planned) {
+        metrics.add_messages(EdgeId::new(d / 2), w);
+    }
     let congestion = planned.iter().copied().max().unwrap_or(0);
+    let dilation = (0..tasks).map(|t| seq(t).len()).max().unwrap_or(0);
 
     // Packet = (task, hop index next to traverse). Each word is its own packet.
     // Only non-empty queues are visited each round, so a whole routed batch costs
     // O(total word-hops + rounds) work.
-    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); 2 * g.m()];
-    let mut is_active = vec![false; 2 * g.m()];
+    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); slots.len()];
+    let mut is_active = vec![false; slots.len()];
     let mut active: Vec<usize> = Vec::new();
-    let mut outstanding: Vec<usize> = tasks.iter().map(|t| t.words).collect();
+    let mut completion = vec![0u64; tasks];
+    let mut outstanding = vec![0usize; tasks];
     let mut remaining_packets = 0usize;
-    for (i, (t, seq)) in tasks.iter().zip(&seqs).enumerate() {
-        if seq.is_empty() || t.words == 0 {
-            completion[i] = 0;
-            outstanding[i] = 0;
+    for (i, &(_, w)) in ends.iter().enumerate() {
+        let Some(&s) = seq(i).first().filter(|_| w > 0) else {
             continue;
-        }
-        for _ in 0..t.words {
-            queues[seq[0]].push_back((i, 0));
-            remaining_packets += 1;
-        }
-        if !is_active[seq[0]] {
-            is_active[seq[0]] = true;
-            active.push(seq[0]);
+        };
+        outstanding[i] = w;
+        remaining_packets += w;
+        queues[s].extend(std::iter::repeat_n((i, 0), w));
+        if !is_active[s] {
+            is_active[s] = true;
+            active.push(s);
         }
     }
 
     let mut round: u64 = 0;
+    let (mut arrivals, mut survivors) = (Vec::new(), Vec::new());
     while remaining_packets > 0 {
         round += 1;
         // Each directed edge forwards one packet; arrivals are buffered and enqueued
         // after the send phase (synchronous semantics).
-        let mut arrivals: Vec<(usize, usize)> = Vec::with_capacity(active.len());
-        let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
-        for &d in &active {
-            let (task, hop) = queues[d].pop_front().expect("active queues are non-empty");
-            let e = congest_graph::EdgeId::new(d / 2);
-            metrics.add_messages(e, 1);
+        for &s in &active {
+            let (task, hop) = queues[s].pop_front().expect("active queues are non-empty");
             arrivals.push((task, hop + 1));
-            if queues[d].is_empty() {
-                is_active[d] = false;
+            if queues[s].is_empty() {
+                is_active[s] = false;
             } else {
-                survivors.push(d);
+                survivors.push(s);
             }
         }
-        active = survivors;
-        for (task, hop) in arrivals {
-            if hop == seqs[task].len() {
+        std::mem::swap(&mut active, &mut survivors);
+        survivors.clear();
+        for (task, hop) in arrivals.drain(..) {
+            if hop == seq(task).len() {
                 outstanding[task] -= 1;
                 remaining_packets -= 1;
                 if outstanding[task] == 0 {
                     completion[task] = round;
                 }
             } else {
-                let d = seqs[task][hop];
-                queues[d].push_back((task, hop));
-                if !is_active[d] {
-                    is_active[d] = true;
-                    active.push(d);
+                let s = seq(task)[hop];
+                queues[s].push_back((task, hop));
+                if !is_active[s] {
+                    is_active[s] = true;
+                    active.push(s);
                 }
             }
         }
     }
     metrics.rounds = round;
 
-    Ok(RouteReport {
+    RouteReport {
         metrics,
         completion_round: completion,
         dilation,
         congestion,
-    })
+    }
 }
 
 /// Builds the unique path from `v` up to the root in a parent forest, inclusive of both

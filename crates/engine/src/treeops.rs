@@ -24,11 +24,10 @@
 //! [`EngineError::BudgetExceeded`] instead of silently overspending — the enforcement
 //! hook for "message-optimal" claims.
 //!
-//! Every primitive also has a `_with` form taking an
-//! [`ExecutorConfig`], threading the executor's delivery
-//! backend through the schedule: upcast/downcast hand it to the router's
-//! path precompute, and convergecast/broadcast under
-//! [`DeliveryBackend::Sharded`] run their level-synchronous schedule over
+//! Upcast/downcast are sequential and cost in proportion to the hops they
+//! route, not to `m`, so they take no executor. Convergecast/broadcast have
+//! `_with` forms taking an [`ExecutorConfig`]: under
+//! [`DeliveryBackend::Sharded`] they run their level-synchronous schedule over
 //! per-shard batch queues (the MST phase loop's announce → convergecast →
 //! merge is the first workload). Outcomes and metrics are byte-identical for
 //! every backend — `tests/backend_conformance.rs` pins it.
@@ -36,7 +35,7 @@
 use crate::error::EngineError;
 use crate::exec::{DeliveryBackend, ExecutorConfig};
 use crate::metrics::Metrics;
-use crate::router::{self, RouteTask};
+use crate::router;
 use crate::shard::ShardPlan;
 use crate::wire::Wire;
 use congest_graph::{EdgeId, Graph, NodeId};
@@ -176,6 +175,16 @@ impl Forest {
         router::path_to_root(&self.parent, v)
     }
 
+    /// Appends the directed-edge hops (see [`router::directed`]) of the walk
+    /// from `v` up to its root, one per tree edge.
+    fn push_up_hops(&self, g: &Graph, v: NodeId, hops: &mut Vec<usize>) {
+        let mut cur = v;
+        while let (Some(p), Some(e)) = (self.parent(cur), self.parent_edge(cur)) {
+            hops.push(router::directed(g, e, cur));
+            cur = p;
+        }
+    }
+
     /// Members of each tree, grouped by root (in node order).
     pub fn members_by_root(&self) -> Vec<(NodeId, Vec<NodeId>)> {
         let mut groups: Vec<(NodeId, Vec<NodeId>)> =
@@ -212,38 +221,25 @@ pub struct UpcastOutcome<P> {
 
 /// Upcasts `items` (at their origin nodes) to their tree roots (Lemma 1.5).
 ///
+/// Each item's hops come from the forest's parent edges, so a call costs
+/// `O(Σ depth · log + rounds)` plus the returned `m`-entry congestion vector
+/// (see [`router::route_with`]).
+///
 /// # Errors
 ///
-/// Propagates routing errors (cannot occur for a validated forest).
+/// Never fails for a validated forest; the `Result` matches the other
+/// primitives.
 pub fn upcast<P: Wire>(
     g: &Graph,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
 ) -> Result<UpcastOutcome<P>, EngineError> {
-    upcast_with(g, forest, items, &ExecutorConfig::default())
-}
-
-/// [`upcast`] with an explicit executor: the per-task path→edge precompute of
-/// the realized schedule runs through `cfg` (see [`router::route_with`]).
-/// Outcomes and metrics are identical for every backend and thread count.
-///
-/// # Errors
-///
-/// Propagates routing errors (cannot occur for a validated forest).
-pub fn upcast_with<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    cfg: &ExecutorConfig,
-) -> Result<UpcastOutcome<P>, EngineError> {
-    let tasks: Vec<RouteTask> = items
-        .iter()
-        .map(|(v, p)| RouteTask {
-            path: forest.path_to_root(*v),
-            words: p.words(),
-        })
-        .collect();
-    let report = router::route_with(g, &tasks, cfg)?;
+    let (mut hops, mut ends) = (Vec::new(), Vec::with_capacity(items.len()));
+    for (v, p) in &items {
+        forest.push_up_hops(g, *v, &mut hops);
+        ends.push((hops.len(), p.words()));
+    }
+    let report = router::schedule(g.m(), &hops, &ends);
 
     let mut root_slot = vec![usize::MAX; g.n()];
     for (i, &r) in forest.roots().iter().enumerate() {
@@ -278,43 +274,28 @@ pub struct DowncastOutcome<P> {
 }
 
 /// Downcasts addressed `items` from each destination's tree root to the destination
-/// (Lemma 1.6). Items destined to a root are delivered locally for free.
+/// (Lemma 1.6). Items destined to a root are delivered locally for free. Costs
+/// as [`upcast`].
 ///
 /// # Errors
 ///
-/// Propagates routing errors (cannot occur for a validated forest).
+/// Never fails for a validated forest; the `Result` matches the other
+/// primitives.
 pub fn downcast<P: Wire>(
     g: &Graph,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
 ) -> Result<DowncastOutcome<P>, EngineError> {
-    downcast_with(g, forest, items, &ExecutorConfig::default())
-}
-
-/// [`downcast`] with an explicit executor (see [`upcast_with`]). Outcomes and
-/// metrics are identical for every backend and thread count.
-///
-/// # Errors
-///
-/// Propagates routing errors (cannot occur for a validated forest).
-pub fn downcast_with<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    cfg: &ExecutorConfig,
-) -> Result<DowncastOutcome<P>, EngineError> {
-    let tasks: Vec<RouteTask> = items
-        .iter()
-        .map(|(dest, p)| {
-            let mut path = forest.path_to_root(*dest);
-            path.reverse();
-            RouteTask {
-                path,
-                words: p.words(),
-            }
-        })
-        .collect();
-    let report = router::route_with(g, &tasks, cfg)?;
+    let (mut hops, mut ends) = (Vec::new(), Vec::with_capacity(items.len()));
+    for (dest, p) in &items {
+        // The root→dest walk: the dest→root hops reversed, each edge flipped.
+        let from = hops.len();
+        forest.push_up_hops(g, *dest, &mut hops);
+        hops[from..].reverse();
+        hops[from..].iter_mut().for_each(|d| *d ^= 1);
+        ends.push((hops.len(), p.words()));
+    }
+    let report = router::schedule(g.m(), &hops, &ends);
 
     let mut at_node: Vec<Vec<P>> = vec![Vec::new(); g.n()];
     let mut order: Vec<usize> = (0..items.len()).collect();

@@ -2,15 +2,120 @@
 //! operations deliver everything exactly once, capacity is respected, the
 //! accounting invariants hold for arbitrary inputs, the sharded delivery
 //! backend is indistinguishable from the sequential one — outputs, [`Metrics`],
-//! and even the round/amount at which a budget error fires — and the packed
-//! wire codec of the flat message plane round-trips every primitive payload.
+//! and even the round/amount at which a budget error fires — the packed
+//! wire codec of the flat message plane round-trips every primitive payload,
+//! and the router's compact-slot scheduler reproduces the whole-graph FIFO
+//! scheduler it replaced, report for report.
 
 use congest_engine::{
     convergecast_with, downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm,
-    DeliveryBackend, ExecutorConfig, LocalView, MessagePlane, RunOptions, ShardPlan, WireDecode,
+    DeliveryBackend, ExecutorConfig, LocalView, MessagePlane, Metrics, RunOptions, ShardPlan,
+    WireDecode,
 };
-use congest_graph::{generators, reference, EdgeId, NodeId};
+use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
+use rand::Rng;
+use std::collections::VecDeque;
+
+/// The reference scheduler: the router as it was before its state was
+/// indexed by local slots — queues, planned load and active flags over all
+/// `2m` directed edges, one `add_messages` per forwarded word. Same FIFO
+/// semantics, so every field of the report must match.
+fn reference_route(g: &Graph, tasks: &[router::RouteTask]) -> router::RouteReport {
+    let seqs: Vec<Vec<usize>> = tasks
+        .iter()
+        .map(|t| {
+            t.path
+                .windows(2)
+                .map(|w| {
+                    let e = g.edge_between(w[0], w[1]).expect("walk");
+                    2 * e.index() + usize::from(g.endpoints(e).0 != w[0])
+                })
+                .collect()
+        })
+        .collect();
+    let mut metrics = Metrics::new(g.m());
+    let mut completion = vec![0u64; tasks.len()];
+    let dilation = seqs.iter().map(Vec::len).max().unwrap_or(0);
+    let mut planned = vec![0u64; 2 * g.m()];
+    for (t, seq) in tasks.iter().zip(&seqs) {
+        for &d in seq {
+            planned[d] += t.words as u64;
+        }
+    }
+    let congestion = planned.iter().copied().max().unwrap_or(0);
+    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); 2 * g.m()];
+    let mut is_active = vec![false; 2 * g.m()];
+    let mut active: Vec<usize> = Vec::new();
+    let mut outstanding: Vec<usize> = tasks.iter().map(|t| t.words).collect();
+    let mut remaining = 0usize;
+    for (i, (t, seq)) in tasks.iter().zip(&seqs).enumerate() {
+        if seq.is_empty() || t.words == 0 {
+            outstanding[i] = 0;
+            continue;
+        }
+        for _ in 0..t.words {
+            queues[seq[0]].push_back((i, 0));
+            remaining += 1;
+        }
+        if !is_active[seq[0]] {
+            is_active[seq[0]] = true;
+            active.push(seq[0]);
+        }
+    }
+    let mut round = 0u64;
+    while remaining > 0 {
+        round += 1;
+        let mut arrivals = Vec::new();
+        let mut survivors = Vec::new();
+        for &d in &active {
+            let (task, hop) = queues[d].pop_front().expect("active queue");
+            metrics.add_messages(EdgeId::new(d / 2), 1);
+            arrivals.push((task, hop + 1));
+            if queues[d].is_empty() {
+                is_active[d] = false;
+            } else {
+                survivors.push(d);
+            }
+        }
+        active = survivors;
+        for (task, hop) in arrivals {
+            if hop == seqs[task].len() {
+                outstanding[task] -= 1;
+                remaining -= 1;
+                if outstanding[task] == 0 {
+                    completion[task] = round;
+                }
+            } else {
+                let d = seqs[task][hop];
+                queues[d].push_back((task, hop));
+                if !is_active[d] {
+                    is_active[d] = true;
+                    active.push(d);
+                }
+            }
+        }
+    }
+    metrics.rounds = round;
+    router::RouteReport {
+        metrics,
+        completion_round: completion,
+        dilation,
+        congestion,
+    }
+}
+
+fn same_report(got: &router::RouteReport, want: &router::RouteReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        &got.metrics,
+        &want.metrics,
+        "metrics incl. congestion vector"
+    );
+    prop_assert_eq!(&got.completion_round, &want.completion_round);
+    prop_assert_eq!(got.dilation, want.dilation);
+    prop_assert_eq!(got.congestion, want.congestion);
+    Ok(())
+}
 
 /// Encode → decode round-trip, plus the flat/boxed accounting agreement: the
 /// packed width is the constant `LANES` while the model-level cost `words()`
@@ -22,6 +127,16 @@ fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
     prop_assert_eq!(&back, &v, "decode ∘ encode = id");
     prop_assert_eq!(back.words(), v.words(), "flat and boxed words() agree");
     Ok(())
+}
+
+/// A payload of exactly `.0` words (0 allowed), for routing properties.
+#[derive(Clone, Debug, PartialEq)]
+struct Pad(usize);
+
+impl congest_engine::Wire for Pad {
+    fn words(&self) -> usize {
+        self.0
+    }
 }
 
 fn bfs_forest(g: &congest_graph::Graph, root: usize) -> Forest {
@@ -117,6 +232,73 @@ proptest! {
             prop_assert!(report.completion_round[i] >= hops.min(1) * u64::from(hops > 0));
         }
         let _ = dist;
+    }
+
+    #[test]
+    fn router_matches_the_whole_graph_scheduler(
+        seed in 0u64..10_000,
+        n in 2usize..40,
+        k in 0usize..30,
+        max_words in 0usize..5,
+    ) {
+        let g = generators::gnp_connected(n, 0.15, seed);
+        let mut r = rng::seeded(seed);
+        // A random forest: a BFS tree from a random root with random cuts.
+        let mut parents = reference::bfs_tree(&g, NodeId::new(r.random_range(0..n)));
+        for p in parents.iter_mut() {
+            if r.random_range(0..4usize) == 0 {
+                *p = None;
+            }
+        }
+        let forest = Forest::from_parents(&g, parents).expect("a cut BFS tree is a forest");
+        // Random walks (edges may repeat, in both directions) mixed with
+        // upcast and downcast tree paths; words include 0.
+        let mut tasks = Vec::new();
+        for _ in 0..k {
+            let v = NodeId::new(r.random_range(0..n));
+            let path = match r.random_range(0..3usize) {
+                0 => {
+                    let mut walk = vec![v];
+                    for _ in 0..r.random_range(0..8usize) {
+                        let here = *walk.last().expect("non-empty walk");
+                        let nbrs = g.neighbors(here);
+                        walk.push(nbrs[r.random_range(0..nbrs.len())]);
+                    }
+                    walk
+                }
+                1 => forest.path_to_root(v),
+                _ => {
+                    let mut down = forest.path_to_root(v);
+                    down.reverse();
+                    down
+                }
+            };
+            tasks.push(router::RouteTask { path, words: r.random_range(0..=max_words) });
+        }
+        same_report(&router::route(&g, &tasks).unwrap(), &reference_route(&g, &tasks))?;
+
+        // The tree primitives build their hops from parent edges; their
+        // metrics must equal the reference on the equivalent tree paths.
+        let items: Vec<(NodeId, usize)> = tasks
+            .iter()
+            .map(|t| (t.path[0], t.words))
+            .collect();
+        let up_tasks: Vec<router::RouteTask> = items
+            .iter()
+            .map(|&(v, w)| router::RouteTask { path: forest.path_to_root(v), words: w })
+            .collect();
+        let down_tasks: Vec<router::RouteTask> = up_tasks
+            .iter()
+            .map(|t| router::RouteTask {
+                path: t.path.iter().rev().copied().collect(),
+                words: t.words,
+            })
+            .collect();
+        let payloads: Vec<(NodeId, Pad)> = items.iter().map(|&(v, w)| (v, Pad(w))).collect();
+        let up = upcast(&g, &forest, payloads.clone()).unwrap();
+        prop_assert_eq!(&up.metrics, &reference_route(&g, &up_tasks).metrics);
+        let down = downcast(&g, &forest, payloads).unwrap();
+        prop_assert_eq!(&down.metrics, &reference_route(&g, &down_tasks).metrics);
     }
 
     #[test]

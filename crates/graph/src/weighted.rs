@@ -1,8 +1,8 @@
 //! Weighted graphs: a [`Graph`] plus non-negative integer edge weights.
 //!
 //! The paper's Theorem 1.1 allows polynomially-bounded weights; we use `u64` weights
-//! (`0..=W` with `W = poly(n)`). See DESIGN.md §2 for why weights are restricted to
-//! non-negative values on undirected graphs.
+//! (`0..=W` with `W = poly(n)`), non-negative and on undirected graphs — the setting
+//! Theorem 1.1 needs (see the README's *Deviations from the paper*).
 
 use crate::ids::{EdgeId, NodeId};
 use crate::rng;

@@ -12,7 +12,8 @@
 //!   executions (congestion vectors + dilations) into the round/message totals the
 //!   theorem guarantees for their joint schedule. Used where co-executing full
 //!   simulations would be redundant — the schedule length is exactly the theorem's
-//!   bound applied to realized (not worst-case) quantities. See DESIGN.md §2.
+//!   bound applied to realized (not worst-case) quantities. See the README's
+//!   *Deviations from the paper*.
 
 use congest_engine::faults::FaultState;
 use congest_engine::{FaultPlan, FaultResponse, Metrics};

@@ -285,42 +285,38 @@ fn draw(mix: &QueryMix, n: usize, r: &mut StdRng) -> Request {
     }
 }
 
-/// Issues one request against the oracle, differential-checking every answer
-/// it produced. Returns how many point answers were served.
-///
-/// # Panics
-///
-/// Panics on any divergence from the checker — a wrong served byte is a bug,
-/// not a data point.
-fn issue<S: DistanceSource>(
-    oracle: &mut DistanceOracle<S>,
-    req: &Request,
-    check: &dyn AnswerCheck,
-) -> u64 {
+/// One served answer, held until its differential check runs.
+enum Answer {
+    Point(Distance),
+    Knn(Vec<(NodeId, Distance)>),
+    Batch(Vec<Distance>),
+}
+
+/// Serves `req` from the oracle — the only work inside a latency window.
+fn serve<S: DistanceSource>(oracle: &mut DistanceOracle<S>, req: &Request) -> Answer {
     match req {
-        Request::Point(s, t) => {
-            let got = oracle.lookup(*s, *t);
-            check
-                .check_point(*s, *t, got)
-                .unwrap_or_else(|e| panic!("serve divergence: {e}"));
-            1
-        }
-        Request::Knn(s, k) => {
-            let got = oracle.k_nearest(*s, *k);
-            check
-                .check_knn(*s, *k, &got)
-                .unwrap_or_else(|e| panic!("serve divergence: {e}"));
-            1
-        }
-        Request::Batch(queries) => {
-            let got = oracle.lookup_batch(queries);
-            for (&(s, t), &d) in queries.iter().zip(&got) {
-                check
-                    .check_point(s, t, d)
-                    .unwrap_or_else(|e| panic!("serve divergence: {e}"));
-            }
-            queries.len() as u64
-        }
+        Request::Point(s, t) => Answer::Point(oracle.lookup(*s, *t)),
+        Request::Knn(s, k) => Answer::Knn(oracle.k_nearest(*s, *k)),
+        Request::Batch(queries) => Answer::Batch(oracle.lookup_batch(queries)),
+    }
+}
+
+/// Differential-checks the answer `serve` gave to `req`, panicking on a
+/// divergence; returns the number of lookups the request served.
+fn check_answer(req: &Request, answer: &Answer, check: &dyn AnswerCheck) -> u64 {
+    let verdict = match (req, answer) {
+        (Request::Point(s, t), Answer::Point(got)) => check.check_point(*s, *t, *got),
+        (Request::Knn(s, k), Answer::Knn(got)) => check.check_knn(*s, *k, got),
+        (Request::Batch(queries), Answer::Batch(got)) => queries
+            .iter()
+            .zip(got)
+            .try_for_each(|(&(s, t), &d)| check.check_point(s, t, d)),
+        _ => unreachable!("serve answers each request in kind"),
+    };
+    verdict.unwrap_or_else(|e| panic!("serve divergence: {e}"));
+    match req {
+        Request::Batch(queries) => queries.len() as u64,
+        _ => 1,
     }
 }
 
@@ -336,7 +332,7 @@ fn percentile_us(sorted: &[u64], p: f64) -> f64 {
 /// Runs one scenario's full ramp against `oracle`: resets the cache, warms it
 /// if the scenario asks, then paces each step's deterministic request stream
 /// at its target rate, measuring per-request service latency (the pacing wait
-/// is excluded) and differential-checking **every** answer.
+/// and the check are excluded) and differential-checking **every** answer.
 ///
 /// # Panics
 ///
@@ -365,7 +361,7 @@ pub fn run_scenario<S: DistanceSource>(
         let mut r = rng::seeded(rng::derive(seed, scenario_salt ^ first));
         for _ in 0..count {
             let req = draw(&scenario.mix, n, &mut r);
-            issue(oracle, &req, check);
+            check_answer(&req, &serve(oracle, &req), check);
         }
     }
 
@@ -389,10 +385,12 @@ pub fn run_scenario<S: DistanceSource>(
             while Instant::now() < sched {
                 std::hint::spin_loop();
             }
+            // The window holds the oracle call only; the check runs after
+            // it closes.
             let t0 = Instant::now();
-            let served = issue(oracle, req, check);
+            let answer = serve(oracle, req);
             latencies.push(t0.elapsed().as_nanos() as u64);
-            lookups += served;
+            lookups += check_answer(req, &answer, check);
         }
         let elapsed = start.elapsed().as_secs_f64();
         let after = oracle.metrics().clone();
@@ -566,6 +564,56 @@ mod tests {
                 assert!(step.p50_us <= step.p95_us && step.p95_us <= step.p99_us);
             }
         }
+    }
+
+    #[test]
+    fn the_check_stays_outside_the_latency_window() {
+        /// The exact reference, made slow: every check sleeps first.
+        struct SlowCheck(ExactReference, std::cell::Cell<u64>);
+        const NAP: Duration = Duration::from_millis(20);
+        impl AnswerCheck for SlowCheck {
+            fn check_point(&self, s: NodeId, t: NodeId, got: Distance) -> Result<(), String> {
+                std::thread::sleep(NAP);
+                self.1.set(self.1.get() + 1);
+                self.0.check_point(s, t, got)
+            }
+            fn check_knn(
+                &self,
+                s: NodeId,
+                k: usize,
+                got: &[(NodeId, Distance)],
+            ) -> Result<(), String> {
+                std::thread::sleep(NAP);
+                self.1.set(self.1.get() + 1);
+                self.0.check_knn(s, k, got)
+            }
+        }
+        let g = generators::gnp_connected(16, 0.3, 2);
+        let check = SlowCheck(ExactReference::bfs(&g), std::cell::Cell::new(0));
+        let want = check.0.want.clone();
+        let mut oracle = DistanceOracle::builder(MatrixSource::new(&want)).build();
+        let scenario = Scenario {
+            name: "slow-check".into(),
+            mix: QueryMix::Uniform,
+            warm_cache: false,
+        };
+        // 1000 rps × 10 ms = 10 requests, all checked.
+        let ramp = RampConfig {
+            initial_rps: 1000,
+            increment_rps: 1000,
+            target_rps: 1000,
+            step_duration_ms: 10,
+        };
+        let report = run_scenario(&mut oracle, &scenario, &ramp, 4, &check);
+        let step = &report.steps[0];
+        assert_eq!(step.requests, 10);
+        assert_eq!(check.1.get(), step.checked);
+        // p99 of 10 samples is the slowest request: no nap may show in it.
+        assert!(
+            step.p99_us < NAP.as_micros() as f64,
+            "a {NAP:?} check leaked into the latency window: p99 = {} us",
+            step.p99_us
+        );
     }
 
     #[test]
